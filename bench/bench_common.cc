@@ -142,11 +142,21 @@ Result<amdb::AnalysisReport> AnalyzeAm(const std::string& am,
 void MetricsJson::Set(const std::string& key, double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.6g", value);
-  entries_.emplace_back(key, buffer);
+  Put(key, buffer);
 }
 
 void MetricsJson::Set(const std::string& key, const std::string& value) {
-  entries_.emplace_back(key, "\"" + value + "\"");
+  Put(key, "\"" + value + "\"");
+}
+
+void MetricsJson::Put(const std::string& key, std::string json) {
+  for (auto& entry : entries_) {
+    if (entry.first == key) {
+      entry.second = std::move(json);
+      return;
+    }
+  }
+  entries_.emplace_back(key, std::move(json));
 }
 
 std::string MetricsJson::ToString() const {

@@ -81,6 +81,7 @@ bool ParseFlagsOrExit(Flags& flags, int argc, char** argv, int* exit_code);
 /// committed BENCH_*.json records) next to their human-readable tables.
 class MetricsJson {
  public:
+  /// Adds `key`, or replaces its value in place if already set.
   void Set(const std::string& key, double value);
   void Set(const std::string& key, const std::string& value);
 
@@ -90,6 +91,8 @@ class MetricsJson {
   void Write(const std::string& path) const;
 
  private:
+  void Put(const std::string& key, std::string json);
+
   std::vector<std::pair<std::string, std::string>> entries_;
 };
 

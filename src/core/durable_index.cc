@@ -117,9 +117,18 @@ Status RefreshTreeFromMeta(storage::DurableStore* store, gist::Tree* tree) {
   return Status::OK();
 }
 
-Result<std::unique_ptr<DurableIndex>> CreateDurableIndex(
+namespace {
+
+// CreateDurableIndex for a caller about to load `num_points` points:
+// MakeExtension resolves automatic XJB selection from that count (and
+// rejects it for 0). The extension is made before the store so that a
+// rejected configuration leaves no files behind.
+Result<std::unique_ptr<DurableIndex>> CreateForPoints(
     const std::string& base_path, const std::string& wal_path, size_t dim,
-    const IndexBuildOptions& options, storage::StoreOptions store_options) {
+    const IndexBuildOptions& options, storage::StoreOptions store_options,
+    size_t num_points) {
+  BW_ASSIGN_OR_RETURN(std::unique_ptr<gist::Extension> extension,
+                      MakeExtension(dim, options, num_points));
   store_options.page_size = options.page_bytes;
   BW_ASSIGN_OR_RETURN(
       std::unique_ptr<storage::DurableStore> store,
@@ -128,8 +137,6 @@ Result<std::unique_ptr<DurableIndex>> CreateDurableIndex(
   if (meta != kMetaPageId) {
     return Status::Internal("meta page must be the store's first page");
   }
-  BW_ASSIGN_OR_RETURN(std::unique_ptr<gist::Extension> extension,
-                      MakeExtension(dim, options, /*num_points_hint=*/0));
   auto tree =
       std::make_unique<gist::Tree>(store->pages(), std::move(extension));
   auto index =
@@ -139,30 +146,50 @@ Result<std::unique_ptr<DurableIndex>> CreateDurableIndex(
   return index;
 }
 
+}  // namespace
+
+Result<std::unique_ptr<DurableIndex>> CreateDurableIndex(
+    const std::string& base_path, const std::string& wal_path, size_t dim,
+    const IndexBuildOptions& options, storage::StoreOptions store_options) {
+  return CreateForPoints(base_path, wal_path, dim, options, store_options,
+                         /*num_points=*/0);
+}
+
+Result<std::unique_ptr<DurableIndex>> BuildDurableIndex(
+    const std::vector<geom::Vec>& points, const std::vector<gist::Rid>& rids,
+    const IndexBuildOptions& options, const std::string& base_path,
+    const std::string& wal_path, storage::StoreOptions store_options) {
+  if (points.empty()) {
+    return Status::InvalidArgument("cannot index an empty vector set");
+  }
+  if (points.size() != rids.size()) {
+    return Status::InvalidArgument("points/rids size mismatch");
+  }
+  BW_ASSIGN_OR_RETURN(
+      std::unique_ptr<DurableIndex> index,
+      CreateForPoints(base_path, wal_path, points[0].dim(), options,
+                      store_options, points.size()));
+  if (options.bulk_load) {
+    am::BulkLoadOptions load;
+    load.fill_fraction = options.fill_fraction;
+    BW_RETURN_IF_ERROR(am::StrBulkLoad(&index->tree(), points, rids, load));
+  } else {
+    BW_RETURN_IF_ERROR(am::InsertionLoad(&index->tree(), points, rids));
+  }
+  BW_RETURN_IF_ERROR(index->Commit(/*tag=*/points.size()));
+  BW_RETURN_IF_ERROR(index->Checkpoint());
+  index->store().pages()->ResetStats();
+  return index;
+}
+
 Result<std::unique_ptr<DurableIndex>> BuildDurableIndex(
     const std::vector<geom::Vec>& vectors, const IndexBuildOptions& options,
     const std::string& base_path, const std::string& wal_path,
     storage::StoreOptions store_options) {
-  if (vectors.empty()) {
-    return Status::InvalidArgument("cannot index an empty vector set");
-  }
-  BW_ASSIGN_OR_RETURN(
-      std::unique_ptr<DurableIndex> index,
-      CreateDurableIndex(base_path, wal_path, vectors[0].dim(), options,
-                         store_options));
   std::vector<gist::Rid> rids(vectors.size());
   std::iota(rids.begin(), rids.end(), 0);
-  if (options.bulk_load) {
-    am::BulkLoadOptions load;
-    load.fill_fraction = options.fill_fraction;
-    BW_RETURN_IF_ERROR(am::StrBulkLoad(&index->tree(), vectors, rids, load));
-  } else {
-    BW_RETURN_IF_ERROR(am::InsertionLoad(&index->tree(), vectors, rids));
-  }
-  BW_RETURN_IF_ERROR(index->Commit(/*tag=*/vectors.size()));
-  BW_RETURN_IF_ERROR(index->Checkpoint());
-  index->store().pages()->ResetStats();
-  return index;
+  return BuildDurableIndex(vectors, rids, options, base_path, wal_path,
+                           store_options);
 }
 
 Result<std::unique_ptr<DurableIndex>> OpenDurableIndex(

@@ -84,13 +84,27 @@ class DurableIndex {
 /// Creates an empty durable index: fresh store at (base_path, wal_path),
 /// meta page reserved, extension from `options.am`, initial commit +
 /// checkpoint taken. `dim` is needed up front because no vectors are.
+/// Automatic XJB selection (am == "xjb", xjb_x == 0) needs a point count
+/// that an empty index does not have, so it is InvalidArgument here:
+/// pass an explicit xjb_x, or build through BuildDurableIndex, which
+/// resolves X from the points it loads.
 Result<std::unique_ptr<DurableIndex>> CreateDurableIndex(
     const std::string& base_path, const std::string& wal_path, size_t dim,
     const IndexBuildOptions& options,
     storage::StoreOptions store_options = storage::StoreOptions());
 
-/// Builds a durable index over `vectors` (RIDs are vector indices),
-/// bulk- or insertion-loaded per `options`, committed and checkpointed.
+/// Builds a durable index over `points` with the given RIDs (one per
+/// point, kept as given), bulk- or insertion-loaded per `options`,
+/// committed and checkpointed. Automatic XJB selection resolves X from
+/// points.size() exactly as BuildIndex does, and the chosen X is stored
+/// in the meta page, so a reopen serves the same X.
+Result<std::unique_ptr<DurableIndex>> BuildDurableIndex(
+    const std::vector<geom::Vec>& points, const std::vector<gist::Rid>& rids,
+    const IndexBuildOptions& options, const std::string& base_path,
+    const std::string& wal_path,
+    storage::StoreOptions store_options = storage::StoreOptions());
+
+/// As above with RIDs 0 .. vectors.size()-1 (the vector indices).
 Result<std::unique_ptr<DurableIndex>> BuildDurableIndex(
     const std::vector<geom::Vec>& vectors, const IndexBuildOptions& options,
     const std::string& base_path, const std::string& wal_path,

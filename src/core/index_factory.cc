@@ -58,6 +58,11 @@ Result<std::unique_ptr<gist::Extension>> MakeExtension(
   if (options.am == "xjb") {
     size_t x = options.xjb_x;
     if (x == 0) {
+      if (num_points_hint == 0) {
+        return Status::InvalidArgument(
+            "xjb_x = 0 (automatic X) needs the number of points to be "
+            "loaded; set xjb_x explicitly for an empty index");
+      }
       x = AutoSelectXjbX(num_points_hint, dim, options.page_bytes,
                          options.fill_fraction);
     }

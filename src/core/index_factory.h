@@ -79,7 +79,10 @@ class BuiltIndex {
 };
 
 /// Creates the extension named by `options.am` (factory used by tests
-/// and benches that drive the GiST directly).
+/// and benches that drive the GiST directly). For XJB with xjb_x == 0,
+/// X is resolved by AutoSelectXjbX over `num_points_hint` points; a hint
+/// of 0 is InvalidArgument, since X must be fixed before the first point
+/// is stored and an estimate over no points would pick 2^D.
 Result<std::unique_ptr<gist::Extension>> MakeExtension(
     size_t dim, const IndexBuildOptions& options, size_t num_points_hint);
 

@@ -62,27 +62,8 @@ Result<std::unique_ptr<core::DurableIndex>> BuildShardIndex(
     const std::vector<geom::Vec>& points, const std::vector<gist::Rid>& rids,
     const core::IndexBuildOptions& options, const std::string& base_path,
     const std::string& wal_path, storage::StoreOptions store_options) {
-  if (points.empty()) {
-    return Status::InvalidArgument("cannot build an empty shard");
-  }
-  if (points.size() != rids.size()) {
-    return Status::InvalidArgument("shard points/rids size mismatch");
-  }
-  BW_ASSIGN_OR_RETURN(
-      std::unique_ptr<core::DurableIndex> index,
-      core::CreateDurableIndex(base_path, wal_path, points[0].dim(), options,
-                               store_options));
-  if (options.bulk_load) {
-    am::BulkLoadOptions load;
-    load.fill_fraction = options.fill_fraction;
-    BW_RETURN_IF_ERROR(am::StrBulkLoad(&index->tree(), points, rids, load));
-  } else {
-    BW_RETURN_IF_ERROR(am::InsertionLoad(&index->tree(), points, rids));
-  }
-  BW_RETURN_IF_ERROR(index->Commit(/*tag=*/points.size()));
-  BW_RETURN_IF_ERROR(index->Checkpoint());
-  index->store().pages()->ResetStats();
-  return index;
+  return core::BuildDurableIndex(points, rids, options, base_path, wal_path,
+                                 store_options);
 }
 
 size_t ShardMap::OwnerOf(const geom::Vec& p) const {

@@ -69,9 +69,8 @@ Partition PartitionByStr(const std::vector<geom::Vec>& corpus,
                          size_t num_shards);
 
 /// Builds one shard slice as a DurableIndex at (base_path, wal_path),
-/// preserving the given global RIDs (this is the piece
-/// core::BuildDurableIndex cannot do — it renumbers from zero).
-/// Bulk- or insertion-loaded per options, committed and checkpointed.
+/// preserving the given global RIDs: core::BuildDurableIndex with RIDs,
+/// so automatic XJB selection resolves X from the slice's size.
 Result<std::unique_ptr<core::DurableIndex>> BuildShardIndex(
     const std::vector<geom::Vec>& points, const std::vector<gist::Rid>& rids,
     const core::IndexBuildOptions& options, const std::string& base_path,

@@ -538,7 +538,9 @@ Result<service::QueryResponse> Router::Knn(
 
   shards_visited_.fetch_add(visited, std::memory_order_relaxed);
   shards_pruned_.fetch_add(pruned, std::memory_order_relaxed);
-  query_latency_.Record(NowUs() - query_start_us);
+  const uint64_t latency_us = NowUs() - query_start_us;
+  query_latency_.Record(latency_us);
+  response.metrics.latency_us = static_cast<double>(latency_us);
   return response;
 }
 
@@ -613,7 +615,9 @@ Result<service::QueryResponse> Router::Range(const geom::Vec& query,
   }
   shards_visited_.fetch_add(visited, std::memory_order_relaxed);
   shards_pruned_.fetch_add(pruned, std::memory_order_relaxed);
-  query_latency_.Record(NowUs() - query_start_us);
+  const uint64_t latency_us = NowUs() - query_start_us;
+  query_latency_.Record(latency_us);
+  response.metrics.latency_us = static_cast<double>(latency_us);
   return response;
 }
 

@@ -1,6 +1,5 @@
 #include "storage/async_io.h"
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
@@ -78,13 +77,16 @@ const char* IoEngineName(IoEngineKind kind) {
 /// is claimed, and the submitter removes it itself if it claims that
 /// last index — so no worker can ever observe a batch pointer after its
 /// RunBatch frame has been torn down (spans still executing keep
-/// `remaining` nonzero, which keeps the submitter blocked).
+/// `remaining` nonzero, which keeps the submitter blocked). `remaining`
+/// is decremented under `done_mutex`: were it decremented first, the
+/// submitter could see 0, return, and leave the last worker locking a
+/// mutex in a dead stack frame.
 struct ReadThreadPool::Impl {
   struct Batch {
     const std::function<void(size_t)>* fn = nullptr;
     size_t next = 0;   // next span index to claim; guarded by pool mutex.
     size_t count = 0;
-    std::atomic<size_t> remaining{0};  // spans not yet finished.
+    size_t remaining = 0;  // spans not yet finished; guarded by done_mutex.
     std::mutex done_mutex;
     std::condition_variable done_cv;
   };
@@ -111,12 +113,10 @@ struct ReadThreadPool::Impl {
 
   static void Run(Batch* batch, size_t i) {
     (*batch->fn)(i);
-    if (batch->remaining.fetch_sub(1) == 1) {
-      // Last span: wake the submitter. The lock makes the wake visible
-      // even if the submitter is between its predicate check and wait.
-      std::lock_guard<std::mutex> lock(batch->done_mutex);
-      batch->done_cv.notify_all();
-    }
+    // The submitter may free `batch` as soon as this lock is released
+    // with remaining == 0, so nothing touches it after the unlock.
+    std::lock_guard<std::mutex> lock(batch->done_mutex);
+    if (--batch->remaining == 0) batch->done_cv.notify_all();
   }
 };
 
@@ -155,7 +155,7 @@ void ReadThreadPool::RunBatch(size_t n, const std::function<void(size_t)>& fn) {
   Impl::Batch batch;
   batch.fn = &fn;
   batch.count = n;
-  batch.remaining.store(n);
+  batch.remaining = n;
   {
     std::lock_guard<std::mutex> lock(impl_->mutex);
     impl_->queue.push_back(&batch);
@@ -183,7 +183,7 @@ void ReadThreadPool::RunBatch(size_t n, const std::function<void(size_t)>& fn) {
     Impl::Run(&batch, i);
   }
   std::unique_lock<std::mutex> lock(batch.done_mutex);
-  batch.done_cv.wait(lock, [&] { return batch.remaining.load() == 0; });
+  batch.done_cv.wait(lock, [&] { return batch.remaining == 0; });
 }
 
 }  // namespace bw::storage

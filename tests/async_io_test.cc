@@ -124,6 +124,37 @@ TEST(ReadThreadPoolTest, ConcurrentBatchesDoNotInterfere) {
   }
 }
 
+// Many tiny batches back to back: each RunBatch frame is torn down the
+// moment it returns and the next one reuses its stack slot, so a worker
+// that still touched the finished batch (say, locking its done mutex
+// after the submitter saw the last span finish) would hang or race here
+// (the TSan and ASan jobs run this).
+TEST(ReadThreadPoolTest, TinyBatchesNeverOutliveTheirFrame) {
+  auto& pool = storage::ReadThreadPool::Instance();
+  constexpr size_t kSubmitters = 4;
+  constexpr size_t kBatches = 25000;
+  std::vector<size_t> totals(kSubmitters, 0);
+  std::vector<std::thread> submitters;
+  for (size_t s = 0; s < kSubmitters; ++s) {
+    submitters.emplace_back([&, s] {
+      for (size_t b = 0; b < kBatches; ++b) {
+        int hits[2] = {0, 0};
+        // The yield lets a woken worker claim a span, so the last span
+        // often finishes on a worker rather than on the submitter.
+        pool.RunBatch(2, [&](size_t i) {
+          std::this_thread::yield();
+          hits[i] = 1;
+        });
+        totals[s] += static_cast<size_t>(hits[0] + hits[1]);
+      }
+    });
+  }
+  for (auto& t : submitters) t.join();
+  for (size_t s = 0; s < kSubmitters; ++s) {
+    EXPECT_EQ(totals[s], 2 * kBatches);
+  }
+}
+
 std::string MakePatternFile(const std::string& name, size_t bytes) {
   const std::string path = TempPath(name);
   auto file = File::Open(path, /*truncate=*/true);

@@ -6,13 +6,19 @@
 //    any covered point, and exact when the clamp point is in the region,
 //  * the maximal-bite construction dominates the Figure-13 nibble,
 //  * codecs round-trip and match Table 3 sizes,
-//  * auto-X selection never grows the estimated tree height.
+//  * auto-X selection never grows the estimated tree height, and every
+//    build path (in-memory, durable) resolves it from the points it
+//    loads.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <string>
 
 #include "core/bites.h"
+#include "core/durable_index.h"
+#include "core/index_factory.h"
 #include "core/jagged.h"
 #include "core/map_tree.h"
 #include "tests/test_helpers.h"
@@ -283,6 +289,116 @@ TEST(AutoXTest, SelectedXDoesNotAddALevel) {
                 EstimateXjbHeight(n, 5, 1, 4096, 0.85));
     }
   }
+}
+
+// The durable build resolves auto-X exactly as the in-memory one does:
+// same X, same height, same pages plus the durable meta page.
+
+std::string DurableStem(const std::string& name) {
+  const std::string dir =
+      std::string(::testing::TempDir()) + "bw_core_autox_" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir + "/index";
+}
+
+IndexBuildOptions AutoXOptions() {
+  IndexBuildOptions options;
+  options.am = "xjb";
+  options.xjb_x = 0;
+  options.page_bytes = 4096;
+  return options;
+}
+
+// Reports the durable tree's X and height through `x` / `height`.
+void ExpectDurableMatchesInMemory(const std::vector<geom::Vec>& points,
+                                  const std::string& name,
+                                  uint32_t* x = nullptr,
+                                  int* height = nullptr) {
+  const IndexBuildOptions options = AutoXOptions();
+  auto in_memory = BuildIndex(points, options);
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+  const std::string stem = DurableStem(name);
+  auto durable =
+      BuildDurableIndex(points, options, stem + ".bwpf", stem + ".bwwal");
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+
+  const gist::Tree& a = (*in_memory)->tree();
+  const gist::Tree& b = (*durable)->tree();
+  EXPECT_EQ(b.extension().AuxParam(), a.extension().AuxParam());
+  EXPECT_EQ(b.extension().AuxParam(),
+            AutoSelectXjbX(points.size(), points[0].dim(), options.page_bytes,
+                           options.fill_fraction));
+  EXPECT_EQ(b.height(), a.height());
+  EXPECT_EQ(b.height(),
+            EstimateXjbHeight(points.size(), points[0].dim(),
+                              b.extension().AuxParam(), options.page_bytes,
+                              options.fill_fraction));
+  EXPECT_EQ((*durable)->store().pages()->page_count(),
+            (*in_memory)->file().page_count() + 1);  // + meta page.
+  if (x != nullptr) *x = b.extension().AuxParam();
+  if (height != nullptr) *height = b.height();
+}
+
+TEST(DurableAutoXTest, SmallBuildsMatchInMemoryAndTheEstimate) {
+  // 5-D, 4 KB pages: X = 10 / 2 at height 2, X = 15 at height 3.
+  for (size_t n : {1000u, 3000u, 5000u}) {
+    SCOPED_TRACE(n);
+    ExpectDurableMatchesInMemory(testing::MakeClusteredPoints(n, 5, 6, n),
+                                 "small_" + std::to_string(n));
+  }
+}
+
+TEST(DurableAutoXTest, ServedScaleIndexKeepsSevenBitesAtHeightThree) {
+  // The served index: 20 000 5-D blobs on 4 KB pages. Keeping all 32
+  // bites would make it five levels tall.
+  uint32_t x = 0;
+  int height = 0;
+  ExpectDurableMatchesInMemory(
+      testing::MakeClusteredPoints(20000, 5, 12, 2000), "served", &x, &height);
+  EXPECT_EQ(x, 7u);
+  EXPECT_EQ(height, 3);
+}
+
+TEST(DurableAutoXTest, ReopenServesTheStoredX) {
+  const auto points = testing::MakeClusteredPoints(1000, 5, 6, 77);
+  for (size_t x : {size_t{0}, size_t{32}}) {
+    SCOPED_TRACE(x);
+    IndexBuildOptions options = AutoXOptions();
+    options.xjb_x = x;
+    const std::string stem = DurableStem("reopen_" + std::to_string(x));
+    uint32_t built_x = 0;
+    {
+      auto built = BuildDurableIndex(points, options, stem + ".bwpf",
+                                     stem + ".bwwal");
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      built_x = (*built)->tree().extension().AuxParam();
+    }
+    EXPECT_EQ(built_x, x == 0 ? AutoSelectXjbX(1000, 5, 4096, 0.85) : x);
+    // Reopen with default options: X comes from the meta page.
+    auto reopened = OpenDurableIndex(stem + ".bwpf", stem + ".bwwal");
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_EQ((*reopened)->tree().extension().AuxParam(), built_x);
+  }
+}
+
+TEST(DurableAutoXTest, EmptyCreateRejectsAutoXButTakesAnExplicitX) {
+  IndexBuildOptions options = AutoXOptions();
+  EXPECT_EQ(MakeExtension(5, options, /*num_points_hint=*/0).status().code(),
+            StatusCode::kInvalidArgument);
+  std::string stem = DurableStem("empty_auto");
+  auto rejected = CreateDurableIndex(stem + ".bwpf", stem + ".bwwal", 5,
+                                     options);
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+      << rejected.status().ToString();
+  EXPECT_FALSE(std::filesystem::exists(stem + ".bwpf"));  // nothing created.
+
+  options.xjb_x = 7;
+  stem = DurableStem("empty_explicit");
+  auto created =
+      CreateDurableIndex(stem + ".bwpf", stem + ".bwwal", 5, options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  EXPECT_EQ((*created)->tree().extension().AuxParam(), 7u);
 }
 
 }  // namespace

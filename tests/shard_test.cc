@@ -5,7 +5,9 @@
 // degraded accounting summed exactly across shards, deterministic
 // mid-stream replica failover with count-skip, fault-budget fail-closed
 // vs degraded answers, probe-driven recovery (dead resurrects, stale
-// never does), and routed mutations with stale-marking.
+// never does), routed mutations with stale-marking, shard builds that
+// resolve auto-X from their own slice, and the router's latency on the
+// wire.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,9 @@
 
 #include "core/durable_index.h"
 #include "core/index_factory.h"
+#include "core/jagged.h"
+#include "net/client.h"
+#include "net/server.h"
 #include "service/query_service.h"
 #include "shard/fleet.h"
 #include "shard/partitioner.h"
@@ -1048,6 +1053,67 @@ TEST(RouterTailTest, ExhaustedDeadlineBudgetDegradesInsteadOfRescattering) {
   }
   EXPECT_GE(router.stats().budget_exhausted, 1u);
   EXPECT_GE(router.stats().degraded_queries, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Shard builds resolve auto-X from their slice
+// ---------------------------------------------------------------------------
+
+TEST(ShardBuildTest, AutoXResolvesFromTheSliceSize) {
+  // The served fleet's shape: 20 000 5-D blobs in two STR slices of
+  // 10 000 on 4 KB pages. Each slice keeps 10 bites at height 3 (all 32
+  // would make it five levels tall), and keeps its global RIDs.
+  const auto corpus = testing::MakeClusteredPoints(20000, 5, 12, 2000);
+  const Partition partition = PartitionByStr(corpus, 2);
+  ASSERT_EQ(partition.points[1].size(), 10000u);
+  core::IndexBuildOptions build = TestBuild();
+  build.page_bytes = 4096;
+  const std::string dir = TempDir("autox");
+  auto index = BuildShardIndex(partition.points[1], partition.rids[1], build,
+                               dir + "/s1.idx", dir + "/s1.wal");
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const gist::Tree& tree = (*index)->tree();
+  EXPECT_EQ(tree.extension().AuxParam(),
+            core::AutoSelectXjbX(10000, 5, 4096, build.fill_fraction));
+  EXPECT_EQ(tree.extension().AuxParam(), 10u);
+  EXPECT_EQ(tree.height(), 3);
+  EXPECT_EQ(tree.height(), core::EstimateXjbHeight(10000, 5, 10, 4096,
+                                                   build.fill_fraction));
+
+  // Nearest neighbour of a slice point is itself, under its global RID.
+  const size_t pick = 1234;
+  auto nearest = tree.KnnSearch(partition.points[1][pick], 1, nullptr);
+  ASSERT_TRUE(nearest.ok()) << nearest.status().ToString();
+  ASSERT_EQ(nearest->size(), 1u);
+  EXPECT_EQ((*nearest)[0].distance, 0.0);
+  EXPECT_EQ(corpus[(*nearest)[0].rid], partition.points[1][pick]);
+}
+
+// ---------------------------------------------------------------------------
+// Router behind a wire server
+// ---------------------------------------------------------------------------
+
+TEST(RouterWireTest, RepliesCarryTheRouterLatency) {
+  const auto corpus = testing::MakeClusteredPoints(1200, kDim, 6, 71);
+  auto fleet = BuildFleet(corpus, "wire_latency", 2, 1);
+  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+  net::Server server((*fleet)->router(), net::ServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  auto client = net::Client::Connect("127.0.0.1", server.port(),
+                                     net::ClientOptions());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  for (size_t q = 0; q < 4; ++q) {
+    const geom::Vec& focus = corpus[(q * 211) % corpus.size()];
+    auto knn = (*client)->Knn(focus, 10);
+    ASSERT_TRUE(knn.ok()) << knn.status().ToString();
+    ASSERT_TRUE(knn->ok());
+    EXPECT_EQ(knn->neighbors.size(), 10u);
+    EXPECT_GT(knn->server_latency_us, 0);
+    auto range = (*client)->Range(focus, 5.0);
+    ASSERT_TRUE(range.ok()) << range.status().ToString();
+    ASSERT_TRUE(range->ok());
+    EXPECT_GT(range->server_latency_us, 0);
+  }
 }
 
 }  // namespace
